@@ -38,14 +38,13 @@ import (
 // cliConfig is the parsed flag set; one struct so tests can exercise
 // the harness logic without a real flag.CommandLine.
 type cliConfig struct {
-	targets     []string
-	spawn       int
-	autopiped   string
-	workdir     string
-	pool        int
-	maxQueue    int
-	serialFsync bool
-	verbose     bool
+	targets   []string
+	spawn     int
+	autopiped string
+	workdir   string
+	pool      int
+	maxQueue  int
+	verbose   bool
 
 	mode        string
 	rate        float64
@@ -77,7 +76,6 @@ func parseFlags(fs *flag.FlagSet, argv []string) (*cliConfig, error) {
 	fs.StringVar(&c.workdir, "workdir", "", "journal/work directory for spawned daemons (default: temp dir, removed afterwards)")
 	fs.IntVar(&c.pool, "pool", 8, "worker-pool size for spawned daemons")
 	fs.IntVar(&c.maxQueue, "max-queue", 256, "admission-queue bound for spawned daemons")
-	fs.BoolVar(&c.serialFsync, "journal-serial-fsync", false, "spawn daemons with group commit disabled (one fsync per append; benchmark baseline)")
 	fs.BoolVar(&c.verbose, "verbose", false, "pass spawned daemons' stderr through")
 
 	fs.StringVar(&c.mode, "mode", "closed", `arrival mode: "open" (Poisson at -rate) or "closed" (-concurrency workers)`)
@@ -133,7 +131,6 @@ type report struct {
 	SLO     load.SLO     `json:"slo"`
 	Gates   []load.Gate  `json:"gates,omitempty"`
 	Pass    bool         `json:"pass"`
-	Serial  bool         `json:"journal_serial_fsync,omitempty"`
 	Spawned int          `json:"spawned,omitempty"`
 	Result  *load.Result `json:"result"`
 }
@@ -197,9 +194,6 @@ func daemonArgs(c *cliConfig, i int, addr, dir, seedPeer string) []string {
 		"-max-queue", fmt.Sprint(c.maxQueue),
 		"-journal-dir", dir,
 		"-drain-timeout", "2s",
-	}
-	if c.serialFsync {
-		args = append(args, "-journal-serial-fsync")
 	}
 	if c.spawn > 1 {
 		args = append(args, "-node-id", fmt.Sprintf("n%d", i), "-advertise", "http://"+addr)
@@ -466,7 +460,7 @@ func run(ctx context.Context, c *cliConfig) (int, error) {
 	gates, pass := c.slo.Evaluate(res)
 	rep := &report{
 		Name: "daemon_soak", Note: c.note, SLO: c.slo,
-		Gates: gates, Pass: pass, Serial: c.serialFsync,
+		Gates: gates, Pass: pass,
 		Spawned: c.spawn, Result: res,
 	}
 	out, _ := json.MarshalIndent(rep, "", "  ")

@@ -44,12 +44,12 @@ func TestParseFlags(t *testing.T) {
 }
 
 func TestDaemonArgs(t *testing.T) {
-	c := &cliConfig{spawn: 3, pool: 4, maxQueue: 99, serialFsync: true}
+	c := &cliConfig{spawn: 3, pool: 4, maxQueue: 99}
 	args := daemonArgs(c, 1, "127.0.0.1:9999", "/tmp/n1", "http://127.0.0.1:8888")
 	joined := strings.Join(args, " ")
 	for _, want := range []string{
 		"-addr 127.0.0.1:9999", "-pool 4", "-max-queue 99", "-journal-dir /tmp/n1",
-		"-journal-serial-fsync", "-node-id n1", "-advertise http://127.0.0.1:9999",
+		"-node-id n1", "-advertise http://127.0.0.1:9999",
 		"-peers http://127.0.0.1:8888",
 	} {
 		if !strings.Contains(joined, want) {
@@ -58,9 +58,8 @@ func TestDaemonArgs(t *testing.T) {
 	}
 	// Single-daemon spawn carries no fleet flags.
 	c.spawn = 1
-	c.serialFsync = false
 	joined = strings.Join(daemonArgs(c, 0, "a:1", "/d", ""), " ")
-	for _, banned := range []string{"-node-id", "-peers", "-journal-serial-fsync"} {
+	for _, banned := range []string{"-node-id", "-peers"} {
 		if strings.Contains(joined, banned) {
 			t.Errorf("single-daemon args carry %q: %s", banned, joined)
 		}

@@ -43,7 +43,6 @@ func main() {
 		scheme    = flag.String("scheme", "Ring", "sync scheme: PS|Ring")
 		workers   = flag.Int("workers", 10, "workers (GPUs) used by the job")
 		jobs      = flag.Int("jobs", 0, "competing jobs sharing every GPU")
-		procs     = flag.Int("procs", 0, "parallel candidate-scoring goroutines (<=0 means GOMAXPROCS)")
 		verbose   = flag.Bool("v", false, "print per-worker utilization")
 		compare   = flag.Bool("compare", false, "run all three systems and print a comparison")
 		jsonOut   = flag.Bool("json", false, "emit the run as one JSON document on stdout (daemon-API serialisation)")
@@ -116,7 +115,7 @@ func main() {
 		t0 := time.Now()
 		res, err := autopipe.RunJob(context.Background(), autopipe.JobConfig{
 			Model: m, Cluster: cl, Workers: autopipe.Workers(*workers),
-			Scheme: sc, Dynamics: dyn, Procs: *procs, Chaos: chaosSpec,
+			Scheme: sc, Dynamics: dyn, Chaos: chaosSpec,
 			OracleBandwidth: *oracleBw,
 		}, *batches)
 		elapsed := time.Since(t0)
@@ -133,8 +132,8 @@ func main() {
 		st := res.Controller
 		fmt.Printf("controller: %d decisions, %d switches applied, %.1fms decision time, %d resource changes\n",
 			st.Decisions, st.SwitchesApplied, st.DecisionSeconds*1e3, st.ResourceChanges)
-		fmt.Printf("search: %d candidates scored, %d cache hits, %.1fms search time, %.2fx parallel speedup\n",
-			st.CandidatesScored, st.SearchCacheHits, st.SearchSeconds*1e3, searchSpeedup(st))
+		fmt.Printf("search: %d candidates scored, %d cache hits, %.1f ms search time (%.1f ms in the predictor)\n",
+			st.CandidatesScored, st.SearchCacheHits, st.SearchSeconds*1e3, st.ScoreSeconds*1e3)
 		if st.Evictions+st.AbortedSwitches+st.MigrationRetries+st.QueuedEvictions > 0 {
 			fmt.Printf("faults: %d evictions, %d aborted switches, %d migration retries, %d queued evictions\n",
 				st.Evictions, st.AbortedSwitches, st.MigrationRetries, st.QueuedEvictions)
@@ -202,16 +201,6 @@ func runComparison(m *autopipe.Model, bwGbps float64, jobs int, sc autopipe.Sync
 		}
 		fmt.Printf("%-12s %12.1f %11.2fs\n", name, tp, wall)
 	}
-}
-
-// searchSpeedup estimates the realised parallel speedup of candidate
-// scoring: aggregate per-candidate predictor time over elapsed search
-// time (1.0 means effectively serial).
-func searchSpeedup(st autopipe.ControllerStats) float64 {
-	if st.SearchSeconds <= 0 {
-		return 0
-	}
-	return st.ScoreSeconds / st.SearchSeconds
 }
 
 func report(res autopipe.Result, verbose bool) {

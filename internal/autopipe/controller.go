@@ -55,10 +55,6 @@ type Config struct {
 
 	// CheckEvery is the decision period in iterations (default 5).
 	CheckEvery int
-	// Procs bounds parallel candidate scoring during decisions (<=0
-	// selects GOMAXPROCS). Scoring is bit-identical at any setting;
-	// predictors that are not concurrency-safe fall back to serial.
-	Procs int
 	// RewardHorizon is the iteration window used to compute online
 	// rewards for REINFORCE adaptation (default 10).
 	RewardHorizon int
@@ -131,9 +127,9 @@ type Stats struct {
 	SwitchSecondsPredicted float64 `json:"switch_seconds_predicted"`
 	SwitchSecondsRealized  float64 `json:"switch_seconds_realized"`
 	// Search telemetry: candidates the predictor actually scored, scores
-	// served by the fingerprint memo cache, cumulative and most-recent
-	// per-decision search wall-clock, and the aggregate per-candidate
-	// predictor time (ScoreSeconds/SearchSeconds ≈ parallel speedup).
+	// served by the plan-hash memo cache, cumulative and most-recent
+	// per-decision search wall-clock, and the time spent inside the
+	// predictor.
 	CandidatesScored  int64   `json:"candidates_scored"`
 	SearchCacheHits   int64   `json:"search_cache_hits"`
 	SearchSeconds     float64 `json:"search_seconds"`
@@ -409,7 +405,7 @@ func (c *Controller) searchScorer(prof *profile.Profile) *scoreSet {
 		key.histGen = c.history.Gen()
 	}
 	if c.search == nil {
-		c.search = newScoreSet(c.ctx, c.predictor, prof, c.cfg.Model.MiniBatch, c.history, c.cfg.Procs, false)
+		c.search = newScoreSet(c.ctx, c.predictor, prof, c.cfg.Model.MiniBatch, c.history)
 		c.searchKey = key
 		return c.search
 	}
@@ -434,8 +430,7 @@ func (c *Controller) decide(prof *profile.Profile) {
 
 	mb := c.cfg.Model.MiniBatch
 	// Incumbent first, then the neighbourhood (arena-allocated): one
-	// scoring batch; the serial in-order reduction below keeps the chosen
-	// plan bit-identical to serial evaluation at any procs setting.
+	// scoring batch.
 	c.searchArena.Reset()
 	candidates := append(c.searchCands[:0], c.plan)
 	if c.cfg.UseMergeNeighborhood {

@@ -15,19 +15,12 @@ type OptimizeOptions struct {
 	MaxRounds int
 	// UseMerge extends the neighbourhood with stage merges/splits.
 	UseMerge bool
-	// Procs bounds parallel candidate scoring (<=0 selects GOMAXPROCS).
-	Procs int
 	// Stats, when non-nil, receives the search telemetry.
 	Stats *SearchStats
 	// History supplies the dynamic-metric window consumed by
 	// history-aware predictors (net/hybrid); nil scores the all-zero
 	// window. The search only reads it.
 	History *meta.History
-	// NoBatch disables batched candidate scoring, forcing one
-	// PredictSpeed call per candidate even when the predictor offers
-	// meta.BatchPredictor. Scores — and therefore the chosen plan — are
-	// bit-identical either way; this exists for testing and ablation.
-	NoBatch bool
 }
 
 // OptimizePlan hill-climbs from an initial plan through the two-worker
@@ -42,11 +35,10 @@ type OptimizeOptions struct {
 // Each round's neighbourhood is carved from a pair of bump-pointer
 // arenas (the incumbent lives in the previous round's arena, so the two
 // alternate) and scored through a scoreSet — batched when the predictor
-// supports it, otherwise fanned across opts.Procs goroutines, with a
-// plan-hash memo cache either way. The chosen plan is bit-identical at
-// every procs setting and with batching on or off. The returned plan is
-// always an independent heap copy; on cancellation it is the best plan
-// found so far, together with the context's error.
+// supports it, otherwise one candidate at a time, with a plan-hash memo
+// cache either way. The chosen plan is bit-identical on both paths. The
+// returned plan is always an independent heap copy; on cancellation it
+// is the best plan found so far, together with the context's error.
 func OptimizePlan(ctx context.Context, prof *profile.Profile, plan partition.Plan,
 	miniBatch int, pred meta.Predictor, opts OptimizeOptions) (partition.Plan, error) {
 	maxRounds := opts.MaxRounds
@@ -60,7 +52,7 @@ func OptimizePlan(ctx context.Context, prof *profile.Profile, plan partition.Pla
 	sc := optScratchPool.Get().(*optimizeScratch)
 	defer sc.put()
 	ss := &sc.ss
-	ss.reset(ctx, pred, prof, miniBatch, opts.History, opts.Procs, opts.NoBatch)
+	ss.reset(ctx, pred, prof, miniBatch, opts.History)
 	defer func() {
 		if opts.Stats != nil {
 			opts.Stats.add(ss.stats)
@@ -104,8 +96,7 @@ func OptimizePlan(ctx context.Context, prof *profile.Profile, plan partition.Pla
 		best := cur
 		bestSpeed, bestImb := curSpeed, curImb
 		improved := false
-		// The reduction stays serial and in enumeration order, so the
-		// chosen plan is exactly the serial search's choice.
+		// The reduction runs in enumeration order: ties go to the first.
 		for i, q := range cands {
 			s := speeds[i]
 			better := s > bestSpeed*(1+1e-9)

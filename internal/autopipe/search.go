@@ -3,20 +3,17 @@ package autopipe
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"autopipe/internal/meta"
 	"autopipe/internal/partition"
 	"autopipe/internal/profile"
-	"autopipe/internal/work"
 )
 
 // SearchStats aggregates candidate-search telemetry: how many plans the
 // predictor actually scored, how many scores the memo cache served, and
 // where the time went. WallSeconds is elapsed search time; ScoreSeconds
-// sums the per-candidate predictor time across workers, so
-// ScoreSeconds/WallSeconds estimates the realised parallel speedup.
+// is the part of it spent inside the predictor.
 type SearchStats struct {
 	Candidates   int     `json:"candidates"`
 	CacheHits    int     `json:"cache_hits"`
@@ -34,15 +31,6 @@ func (s *SearchStats) add(o SearchStats) {
 	s.ScoreSeconds += o.ScoreSeconds
 }
 
-// Speedup estimates the realised parallel speedup of the search
-// (aggregate predictor time over elapsed time); 0 when nothing ran.
-func (s SearchStats) Speedup() float64 {
-	if s.WallSeconds <= 0 {
-		return 0
-	}
-	return s.ScoreSeconds / s.WallSeconds
-}
-
 // HitRate returns the fraction of score lookups the memo cache served
 // without touching the predictor; 0 when nothing was looked up.
 func (s SearchStats) HitRate() float64 {
@@ -53,33 +41,28 @@ func (s SearchStats) HitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// scoreSet evaluates candidate partitions against one observed profile:
-// batched or bounded-parallel scoring plus a plan-hash memo cache, so
-// repeated hill-climb rounds never re-score an already-seen partition.
-// Scoring through a scoreSet is bit-identical to calling the predictor
-// serially in candidate order: each candidate is an independent pure
-// evaluation, results land at their input index, and the batched paths
-// carry a strict per-row bit-identity contract (meta.BatchPredictor) —
-// so neither procs, nor batching, nor scheduling affects any returned
-// value.
+// scoreSet evaluates candidate partitions against one observed profile
+// on the calling goroutine, with a plan-hash memo cache so repeated
+// hill-climb rounds never re-score an already-seen partition. The
+// predictor's type selects the one scoring path: a meta.BatchPredictor
+// scores a round's cache misses in one PredictSpeedBatch call, any other
+// predictor in an in-order PredictSpeed loop. Both are bit-identical to
+// calling PredictSpeed serially in candidate order (the BatchPredictor
+// contract is strict per-row bit-identity).
 //
 // The memo cache key is partition.Plan.Hash64 (64-bit FNV-1a over the
-// canonical plan encoding) instead of the allocating Fingerprint string;
-// with the ≤10⁴ live entries of a search the collision probability is
-// ~1e-12 per search.
+// canonical plan encoding); with the ≤10⁴ live entries of a search the
+// collision probability is ~1e-12 per search.
 type scoreSet struct {
 	ctx  context.Context
 	pred meta.Predictor
-	// batch is pred's batched scoring path, nil when absent or disabled;
-	// when set, each round's cache-miss set is scored in procs contiguous
-	// chunks of one PredictSpeedBatch call each, amortising the
-	// candidate-independent work (LSTM history pass, analytic base-plan
-	// terms) across the chunk.
+	// batch is pred's batched scoring path, nil when pred has none. It
+	// amortises the candidate-independent work (LSTM history pass,
+	// analytic base-plan terms) across a round's misses.
 	batch meta.BatchPredictor
 	prof  *profile.Profile
 	mb    int
 	h     *meta.History
-	procs int
 	cache map[uint64]float64
 	stats SearchStats
 	// base is the plan the current candidate set was enumerated from
@@ -98,16 +81,11 @@ type scoreSet struct {
 	missOut   []float64
 }
 
-// newScoreSet builds a scorer. Predictors that are not concurrency-safe
-// (see meta.ConcurrencySafe) are scored on one goroutine regardless of
-// procs; results are identical either way, only the wall clock differs.
-// All built-in predictors — analytic, net and hybrid — are safe and
-// additionally advertise meta.BatchPredictor, so scoring dispatches to
-// the batched path unless noBatch disables it (testing/ablation).
+// newScoreSet builds a scorer for pred (nil selects the analytic model).
 func newScoreSet(ctx context.Context, pred meta.Predictor, prof *profile.Profile,
-	miniBatch int, h *meta.History, procs int, noBatch bool) *scoreSet {
+	miniBatch int, h *meta.History) *scoreSet {
 	s := &scoreSet{}
-	s.reset(ctx, pred, prof, miniBatch, h, procs, noBatch)
+	s.reset(ctx, pred, prof, miniBatch, h)
 	return s
 }
 
@@ -115,30 +93,21 @@ func newScoreSet(ctx context.Context, pred meta.Predictor, prof *profile.Profile
 // memo cache is emptied and the stats zeroed, while the cache map and
 // scoring buffers keep their capacity for reuse.
 func (s *scoreSet) reset(ctx context.Context, pred meta.Predictor, prof *profile.Profile,
-	miniBatch int, h *meta.History, procs int, noBatch bool) {
+	miniBatch int, h *meta.History) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if pred == nil {
 		pred = meta.AnalyticPredictor{}
 	}
-	procs = work.Procs(procs)
-	if !meta.ParallelSafe(pred) {
-		procs = 1
-	}
-	s.ctx, s.pred, s.prof, s.mb, s.h, s.procs = ctx, pred, prof, miniBatch, h, procs
+	s.ctx, s.pred, s.prof, s.mb, s.h = ctx, pred, prof, miniBatch, h
+	s.batch, _ = pred.(meta.BatchPredictor)
 	s.base = partition.Plan{}
 	s.stats = SearchStats{}
 	if s.cache == nil {
 		s.cache = map[uint64]float64{}
 	} else {
 		clear(s.cache)
-	}
-	s.batch = nil
-	if !noBatch {
-		if bp, ok := meta.BatchCapable(pred); ok {
-			s.batch = bp
-		}
 	}
 }
 
@@ -176,15 +145,23 @@ func (s *scoreSet) scores(plans []partition.Plan) ([]float64, error) {
 	}
 	s.miss = miss
 
-	var scoreNanos int64
-	var err error
-	if s.batch != nil && len(miss) > 1 {
-		scoreNanos, err = s.scoreBatched(plans, out)
-	} else {
-		scoreNanos, err = s.scoreFanOut(plans, out)
+	scoreStart := time.Now()
+	err := s.ctx.Err()
+	if err == nil {
+		if s.batch != nil && len(miss) > 1 {
+			s.scoreBatched(plans, out)
+		} else {
+			err = s.scoreSerial(plans, out)
+		}
 	}
+	s.stats.ScoreSeconds += time.Since(scoreStart).Seconds()
 	s.stats.WallSeconds += time.Since(wallStart).Seconds()
-	s.stats.ScoreSeconds += time.Duration(scoreNanos).Seconds()
+	// Yield once per round. A CPU-bound stream of jobs otherwise reaches
+	// almost no scheduling point, so GC's fractional mark worker rarely
+	// runs, mark work shifts to allocation assists and the heap goal
+	// climbs: on 2 vCPUs, two streams of hybrid-predictor BERT48 jobs
+	// peaked 30-55% higher in RSS without this yield.
+	runtime.Gosched()
 	if err != nil {
 		return nil, err
 	}
@@ -195,12 +172,9 @@ func (s *scoreSet) scores(plans []partition.Plan) ([]float64, error) {
 	return out, nil
 }
 
-// scoreBatched scores the miss set through the predictor's batched path:
-// the missed plans are gathered into one contiguous slice and split into
-// at most procs contiguous chunks, each scored by one PredictSpeedBatch
-// call. Chunking affects wall clock only — every row's score is
-// bit-identical to serial PredictSpeed by the BatchPredictor contract.
-func (s *scoreSet) scoreBatched(plans []partition.Plan, out []float64) (int64, error) {
+// scoreBatched scores the miss set in one PredictSpeedBatch call over
+// the gathered missed plans.
+func (s *scoreSet) scoreBatched(plans []partition.Plan, out []float64) {
 	miss := s.miss
 	if cap(s.missPlans) < len(miss) {
 		s.missPlans = make([]partition.Plan, len(miss))
@@ -211,49 +185,22 @@ func (s *scoreSet) scoreBatched(plans []partition.Plan, out []float64) (int64, e
 	for j, i := range miss {
 		mp[j] = plans[i]
 	}
-	// Chunk by the parallelism the runtime can actually realise: each
-	// chunk re-pays the candidate-independent batch work (LSTM pass,
-	// analytic rebase), so chunks beyond GOMAXPROCS or beyond the miss
-	// count are pure overhead. Chunking never affects scores, only wall
-	// clock (per-row bit-identity).
-	nch := s.procs
-	if g := runtime.GOMAXPROCS(0); nch > g {
-		nch = g
-	}
-	if nch > len(miss) {
-		nch = len(miss)
-	}
-	var scoreNanos atomic.Int64
-	err := work.Map(s.ctx, nch, nch, func(_ context.Context, c int) error {
-		lo := c * len(miss) / nch
-		hi := (c + 1) * len(miss) / nch
-		t0 := time.Now()
-		s.batch.PredictSpeedBatch(s.prof, s.base, mp[lo:hi], s.mb, s.h, mo[lo:hi])
-		scoreNanos.Add(int64(time.Since(t0)))
-		return nil
-	})
-	if err != nil {
-		return scoreNanos.Load(), err
-	}
+	s.batch.PredictSpeedBatch(s.prof, s.base, mp, s.mb, s.h, mo)
 	for j, i := range miss {
 		out[i] = mo[j]
 	}
-	return scoreNanos.Load(), nil
 }
 
-// scoreFanOut is the per-candidate fallback: one PredictSpeed call per
-// missed plan, fanned across procs goroutines.
-func (s *scoreSet) scoreFanOut(plans []partition.Plan, out []float64) (int64, error) {
-	miss := s.miss
-	var scoreNanos atomic.Int64
-	err := work.Map(s.ctx, len(miss), s.procs, func(_ context.Context, j int) error {
-		i := miss[j]
-		t0 := time.Now()
+// scoreSerial scores the miss set one PredictSpeed call at a time, in
+// candidate order, checking for cancellation before each candidate.
+func (s *scoreSet) scoreSerial(plans []partition.Plan, out []float64) error {
+	for _, i := range s.miss {
+		if err := s.ctx.Err(); err != nil {
+			return err
+		}
 		out[i] = s.pred.PredictSpeed(s.prof, plans[i], s.mb, s.h)
-		scoreNanos.Add(int64(time.Since(t0)))
-		return nil
-	})
-	return scoreNanos.Load(), err
+	}
+	return nil
 }
 
 // imbalanceTable serves loadImbalance queries from per-worker prefix

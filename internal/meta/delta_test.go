@@ -149,7 +149,7 @@ func TestPredictSpeedBatchMatchesSerial(t *testing.T) {
 		{"hybrid", &HybridPredictor{Net: net, NetWeight: 0.5, Scheme: netsim.RingAllReduce}},
 	}
 	for _, pc := range preds {
-		bp, ok := BatchCapable(pc.p)
+		bp, ok := pc.p.(BatchPredictor)
 		if !ok {
 			t.Fatalf("%s: no batched path", pc.name)
 		}

@@ -12,27 +12,15 @@ import (
 // Predictor estimates the training speed (samples/sec) a partition would
 // achieve under the currently observed environment. The AutoPipe
 // controller scores candidate partitions through this interface.
+//
+// Every built-in predictor is safe for concurrent scoring, so concurrent
+// jobs may share one: the analytic model scores through pooled slice
+// scratch and the meta-network through pooled read-only inference
+// sessions (shared frozen weights, private nn.Scratch). Weight mutation
+// (Train/Adapt) must still be serialised against scoring, which the
+// controller's decide-then-adapt loop already does.
 type Predictor interface {
 	PredictSpeed(p *profile.Profile, plan partition.Plan, miniBatch int, h *History) float64
-}
-
-// ConcurrencySafe is an optional Predictor extension: a predictor whose
-// PredictSpeed is safe to call from multiple goroutines at once reports
-// it here, unlocking parallel candidate scoring in the search layer.
-// Every built-in predictor qualifies: the analytic model scores through
-// pooled slice scratch and the meta-network through pooled read-only
-// inference sessions (shared frozen weights, private nn.Scratch), so
-// nothing per-call is shared. The contract covers scoring only — weight
-// mutation (Train/Adapt) must still be serialised against scoring, which
-// the controller's decide-then-adapt loop already does.
-type ConcurrencySafe interface {
-	ConcurrentSafe() bool
-}
-
-// ParallelSafe reports whether pred may be invoked concurrently.
-func ParallelSafe(pred Predictor) bool {
-	cs, ok := pred.(ConcurrencySafe)
-	return ok && cs.ConcurrentSafe()
 }
 
 // BatchPredictor is an optional Predictor extension: predictors that can
@@ -55,12 +43,6 @@ func ParallelSafe(pred Predictor) bool {
 type BatchPredictor interface {
 	Predictor
 	PredictSpeedBatch(p *profile.Profile, base partition.Plan, plans []partition.Plan, miniBatch int, h *History, out []float64)
-}
-
-// BatchCapable resolves pred's batched scoring path, if it has one.
-func BatchCapable(pred Predictor) (BatchPredictor, bool) {
-	bp, ok := pred.(BatchPredictor)
-	return bp, ok
 }
 
 // HistoryAgnostic is an optional Predictor extension: predictors whose
@@ -101,10 +83,6 @@ type AnalyticPredictor struct {
 	// SyncEvery is the gradient-coalescing period (default 1).
 	SyncEvery int
 }
-
-// ConcurrentSafe implements ConcurrencySafe: the analytic model is a
-// pure function of its arguments (its scratch is pooled per call).
-func (AnalyticPredictor) ConcurrentSafe() bool { return true }
 
 // serverOf resolves a worker's server from the profile's observed
 // placement, falling back to the testbed pairing (two GPUs per server)
@@ -400,11 +378,6 @@ type NetPredictor struct {
 	Net *Network
 }
 
-// ConcurrentSafe implements ConcurrencySafe: every call scores through
-// a pooled read-only inference session (shared frozen weights, private
-// scratch), so concurrent callers never share mutable state.
-func (NetPredictor) ConcurrentSafe() bool { return true }
-
 // PredictSpeed implements Predictor. It is allocation-free in steady
 // state and bit-identical to evaluating Network.Predict on
 // BuildFeatures output.
@@ -455,11 +428,6 @@ type HybridPredictor struct {
 	// Scheme configures the analytic component.
 	Scheme netsim.SyncScheme
 }
-
-// ConcurrentSafe implements ConcurrencySafe: both components are — the
-// analytic model is pure and the net component scores through pooled
-// inference sessions — so hybrid scoring parallelises too.
-func (*HybridPredictor) ConcurrentSafe() bool { return true }
 
 // PredictSpeed implements Predictor.
 func (hp *HybridPredictor) PredictSpeed(p *profile.Profile, plan partition.Plan, miniBatch int, h *History) float64 {

@@ -33,29 +33,6 @@ func predictorFixture(tb testing.TB) (*profile.Profile, partition.Plan, int, *Hi
 	return prof, plan, m.MiniBatch, h
 }
 
-// serialOnly is a predictor without the ConcurrencySafe extension.
-type serialOnly struct{ Predictor }
-
-func TestParallelSafe(t *testing.T) {
-	net := NewNetwork(rand.New(rand.NewSource(1)))
-	cases := []struct {
-		name string
-		pred Predictor
-		want bool
-	}{
-		{"analytic", AnalyticPredictor{}, true},
-		{"net", NetPredictor{Net: net}, true},
-		{"hybrid", &HybridPredictor{Net: net, NetWeight: 0.3}, true},
-		{"hybrid-analytic-only", &HybridPredictor{}, true},
-		{"plain-interface", serialOnly{AnalyticPredictor{}}, false},
-	}
-	for _, c := range cases {
-		if got := ParallelSafe(c.pred); got != c.want {
-			t.Errorf("ParallelSafe(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 // TestInferSessionMatchesPredict pins the session (inference-kernel)
 // path to the training-path Network.Predict bit-for-bit, and the
 // session's fused PredictSpeed to the BuildFeatures+Predict composition.
@@ -305,7 +282,7 @@ func TestPredictSpeedZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestConcurrentScoringIsDeterministic hammers each safe predictor from
+// TestConcurrentScoringIsDeterministic hammers each built-in predictor from
 // many goroutines (the race detector checks safety in CI) and verifies
 // every concurrent result equals the serial score.
 func TestConcurrentScoringIsDeterministic(t *testing.T) {
@@ -321,9 +298,6 @@ func TestConcurrentScoringIsDeterministic(t *testing.T) {
 		{"hybrid", &HybridPredictor{Net: net, NetWeight: 0.5}},
 	}
 	for _, c := range preds {
-		if !ParallelSafe(c.pred) {
-			t.Fatalf("%s: expected ParallelSafe", c.name)
-		}
 		want := make([]float64, len(plans))
 		for i, q := range plans {
 			want[i] = c.pred.PredictSpeed(prof, q, mb, h)

@@ -170,10 +170,6 @@ type JobConfig struct {
 	// and tests that need the controller to start off-optimum). Ignored
 	// when the job is built from a checkpoint.
 	InitialPlan *Plan
-	// Procs bounds parallel candidate scoring during reconfiguration
-	// decisions (<=0 selects GOMAXPROCS). The chosen plans are
-	// bit-identical at any setting; only wall-clock changes.
-	Procs int
 	// CheckpointEvery takes a controller checkpoint every N completed
 	// iterations (0 disables). Checkpoints are skipped while a switch is
 	// in flight and at the final iteration, so a restore always has work
@@ -296,6 +292,7 @@ type Job struct {
 	started   bool
 	runCancel context.CancelFunc
 	status    JobStatus
+	finished  bool // result and err are final; set with the terminal status
 	result    JobResult
 	err       error
 	lastCP    *Checkpoint
@@ -357,7 +354,6 @@ func newJob(cfg JobConfig, batches int, restore *Checkpoint) (*Job, error) {
 		CheckEvery:      cfg.CheckEvery,
 		DisableReconfig: cfg.DisableReconfig,
 		InitialPlan:     cfg.InitialPlan,
-		Procs:           cfg.Procs,
 		Restore:         restore,
 		OracleBandwidth: cfg.OracleBandwidth,
 	})
@@ -417,9 +413,14 @@ func (j *Job) Checkpoint() (Checkpoint, bool) {
 // snapshot refreshes the published status. Called from the simulation
 // goroutine only; readers go through Status.
 func (j *Job) snapshot(state JobState) {
-	e := j.ctl.Engine()
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.snapshotLocked(state)
+}
+
+// snapshotLocked is snapshot with j.mu held.
+func (j *Job) snapshotLocked(state JobState) {
+	e := j.ctl.Engine()
 	j.status.State = state
 	j.status.Iteration = j.base + e.Completed()
 	j.status.VirtualTime = float64(j.eng.Now())
@@ -511,16 +512,16 @@ func (j *Job) waitIfPaused(ctx context.Context) bool {
 // Done is closed when Run finishes for any reason.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Result returns the final result once Done is closed. Before that it
-// reports an error.
+// Result returns the final result once the job has reached a terminal
+// state. Before that it reports an error. The terminal status and the
+// result are published together, so after Status reports a terminal
+// state Result always has the result; Done closes right after.
 func (j *Job) Result() (JobResult, error) {
-	select {
-	case <-j.done:
-	default:
-		return JobResult{}, fmt.Errorf("autopipe: job still running")
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if !j.finished {
+		return JobResult{}, fmt.Errorf("autopipe: job still running")
+	}
 	return j.result, j.err
 }
 
@@ -543,10 +544,14 @@ func (j *Job) Run(ctx context.Context) (JobResult, error) {
 	j.status.State = JobRunning
 	j.mu.Unlock()
 
-	res, err := j.run(ctx)
+	res, state, err := j.run(ctx)
 
 	j.mu.Lock()
-	j.result, j.err = res, err
+	j.snapshotLocked(state)
+	if state == JobFailed {
+		j.status.Error = err.Error()
+	}
+	j.finished, j.result, j.err = true, res, err
 	j.mu.Unlock()
 	close(j.done)
 	return res, err
@@ -570,10 +575,11 @@ func (j *Job) stopErr(ctx context.Context) error {
 	return ErrCancelled
 }
 
-func (j *Job) run(ctx context.Context) (JobResult, error) {
+// run simulates the remaining batches and returns the result with the
+// terminal state Run publishes.
+func (j *Job) run(ctx context.Context) (JobResult, JobState, error) {
 	if j.stopped(ctx) {
-		j.snapshot(JobCancelled)
-		return JobResult{}, j.stopErr(ctx)
+		return JobResult{}, JobCancelled, j.stopErr(ctx)
 	}
 	remaining := j.batches - j.base
 	j.ctl.Start(ctx, remaining)
@@ -592,16 +598,11 @@ func (j *Job) run(ctx context.Context) (JobResult, error) {
 			// discarded copy never reflects a half-applied switch.
 			e.AbortSwitch()
 		}
-		j.snapshot(JobCancelled)
-		return JobResult{}, j.stopErr(ctx)
+		return JobResult{}, JobCancelled, j.stopErr(ctx)
 	}
 	if e.Completed() != remaining {
 		err := fmt.Errorf("autopipe: job stalled at %d/%d batches", j.base+e.Completed(), j.batches)
-		j.snapshot(JobFailed)
-		j.mu.Lock()
-		j.status.Error = err.Error()
-		j.mu.Unlock()
-		return JobResult{}, err
+		return JobResult{}, JobFailed, err
 	}
 	out := JobResult{
 		Result: Result{
@@ -633,8 +634,7 @@ func (j *Job) run(ctx context.Context) (JobResult, error) {
 			out.SpeedPerIteration = append(out.SpeedPerIteration, float64(w*j.cfg.Model.MiniBatch)/dt)
 		}
 	}
-	j.snapshot(JobDone)
-	return out, nil
+	return out, JobDone, nil
 }
 
 // OptimizePlan hill-climbs a plan for the cluster's current observed

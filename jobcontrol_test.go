@@ -194,3 +194,32 @@ func TestCancelInterruptsCandidateSearch(t *testing.T) {
 		t.Fatalf("cancellation took %v, want bounded by one candidate evaluation (%v)", waited, delay)
 	}
 }
+
+// TestTerminalStatusImpliesResult: once Status reports a terminal
+// state, Result must already hold the outcome. A poller spins on
+// Status while many tiny jobs finish (every third one cancelled), and
+// calls Result the moment it sees the job end; run it under -race.
+func TestTerminalStatusImpliesResult(t *testing.T) {
+	cfg := JobConfig{Model: UniformModel(4, 1e9, 1000), Cluster: Testbed(Gbps(25))}
+	for i := 0; i < 300; i++ {
+		j, err := NewJob(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			j.Cancel()
+		}
+		go j.Run(context.Background())
+		for {
+			st := j.Status()
+			if st.State == JobQueued || st.State == JobRunning {
+				continue
+			}
+			if _, err := j.Result(); err != nil && !errors.Is(err, ErrCancelled) {
+				t.Fatalf("job %d: Status reports %s but Result says: %v", i, st.State, err)
+			}
+			break
+		}
+		<-j.Done()
+	}
+}

@@ -3,9 +3,9 @@
 # -benchmem and records the results as one JSON document (default
 # BENCH_predictor.json) so the perf trajectory is tracked from PR 3
 # onward, plus the bandwidth-estimator benchmark as BENCH_bwe.json. The
-# PredictSpeed benchmarks fan out with -cpu to show the realised
-# parallel scoring speedup; the OptimizePlan benchmarks carry their own
-# internal procs=1/4/8 sub-benchmarks.
+# PredictSpeed benchmarks fan out with -cpu, the way concurrent jobs
+# share one predictor; the OptimizePlan benchmarks time one search on
+# the calling goroutine.
 #
 # Usage: scripts/bench.sh [output.json]
 # Env:   BENCHTIME (default 100x), CPUS (default 1,4,8)
@@ -63,26 +63,23 @@ rm -f "$tmp.bwe"
 echo "wrote BENCH_bwe.json"
 
 # Optimizer hot path: batched + incremental candidate scoring
-# (BENCH_optimizer.json). The OptimizePlan benchmarks run WITHOUT -cpu —
-# their procs=1/4/8 sub-benchmarks vary opts.Procs internally, and
-# pinning GOMAXPROCS would invalidate them.
+# (BENCH_optimizer.json). A search scores on the calling goroutine, so
+# the OptimizePlan benchmarks need no -cpu sweep.
 go test -run '^$' -bench '^BenchmarkOptimizePlan(Hybrid)?$' \
   -benchmem -benchtime "${BENCHTIME:-300x}" . | tee "$tmp.opt"
 go test -run '^$' -bench '^BenchmarkInferBatch$' \
   -benchmem -benchtime "${BENCHTIME:-300x}" ./internal/nn | tee -a "$tmp.opt"
-to_json "nproc=$(nproc); at GOMAXPROCS=1 the procs sub-benchmarks measure scheduling overhead, not parallel speedup — compare against BENCH_predictor.json's OptimizePlan rows" \
+to_json "nproc=$(nproc); one search per op, scored on the calling goroutine" \
   < "$tmp.opt" > BENCH_optimizer.json
 rm -f "$tmp.opt"
 echo "wrote BENCH_optimizer.json"
 
 # Daemon soak (BENCH_daemon.json): the load harness drives a
-# 1000-concurrent-job closed loop against one real spawned autopiped,
-# once on the default journal path (group commit) and once with
-# -journal-serial-fsync (every append pays its own fsync — the
-# pre-group-commit behaviour). The headline before/after numbers are
-# result.admission_latency.p99_ms and result.syncs_per_append. The
-# group-commit run also SIGKILLs the daemon afterwards and gates on
-# journal-replay recovery time.
+# 1000-concurrent-job closed loop against one real spawned autopiped
+# with a group-committed journal. The headline numbers are
+# result.admission_latency.p99_ms and result.syncs_per_append. The run
+# also SIGKILLs the daemon afterwards and gates on journal-replay
+# recovery time.
 # Env: SOAK_DURATION (default 15s).
 soak=${SOAK_DURATION:-15s}
 go build -o "$bindir/autopiped" ./cmd/autopiped
@@ -93,13 +90,10 @@ soak_common=(-spawn 1 -autopiped "$bindir/autopiped" -mode closed \
 "$bindir/autopipe-load" "${soak_common[@]}" \
   -measure-recovery -slo-max-recovery-sec 30 \
   -json "$bindir/gc.json" | tail -n 6
-"$bindir/autopipe-load" "${soak_common[@]}" -journal-serial-fsync \
-  -json "$bindir/serial.json" | tail -n 4
 {
   printf '{\n  "generated": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-  printf '  "note": "1000-concurrent-job closed-loop soak against one spawned autopiped (pool 8, queue 512, %s): group_commit is the default journal path, serial_fsync disables coalescing. Compare result.admission_latency.p99_ms and result.syncs_per_append.",\n' "$soak"
-  printf '  "group_commit": %s,\n' "$(cat "$bindir/gc.json")"
-  printf '  "serial_fsync": %s\n}\n' "$(cat "$bindir/serial.json")"
+  printf '  "note": "1000-concurrent-job closed-loop soak against one spawned autopiped (pool 8, queue 512, %s) on the group-committed journal. Headline: result.admission_latency.p99_ms and result.syncs_per_append.",\n' "$soak"
+  printf '  "group_commit": %s\n}\n' "$(cat "$bindir/gc.json")"
 } > BENCH_daemon.json
 echo "wrote BENCH_daemon.json"
 
