@@ -52,10 +52,24 @@ func TestMapBoundedConcurrency(t *testing.T) {
 func TestMapFirstErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	err := Map(context.Background(), 1000, 4, func(_ context.Context, i int) error {
+	// Items after the failing one hold their goroutine until the failure
+	// has cancelled the map, or until giveUp if it never does. Without
+	// that, the siblings can drain all 1000 trivial items while the
+	// failing goroutine waits to be scheduled, and the check below would
+	// measure the scheduler. Indices are handed out in order, so item 7
+	// is always taken before any item that waits.
+	giveUp, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	err := Map(context.Background(), 1000, 4, func(ctx context.Context, i int) error {
 		calls.Add(1)
 		if i == 7 {
 			return fmt.Errorf("item %d: %w", i, boom)
+		}
+		if i > 7 {
+			select {
+			case <-ctx.Done():
+			case <-giveUp.Done():
+			}
 		}
 		return nil
 	})
