@@ -282,8 +282,9 @@ func TestDaemonLifecycle(t *testing.T) {
 	for {
 		var info struct {
 			Status struct {
-				State     string `json:"state"`
-				Iteration int    `json:"iteration"`
+				State      string             `json:"state"`
+				Iteration  int                `json:"iteration"`
+				Controller map[string]float64 `json:"controller"`
 			} `json:"status"`
 		}
 		resp, err := http.Get(base + "/v1/jobs/" + created.ID)
@@ -297,6 +298,13 @@ func TestDaemonLifecycle(t *testing.T) {
 		if info.Status.State == "done" {
 			if info.Status.Iteration != 10 {
 				t.Fatalf("done with %d iterations", info.Status.Iteration)
+			}
+			// Per-job controller detail is served here, not in /metrics.
+			for _, field := range []string{"switch_seconds_predicted", "switch_seconds_realized",
+				"evictions", "aborted_switches", "migration_retries", "queued_evictions"} {
+				if _, ok := info.Status.Controller[field]; !ok {
+					t.Fatalf("status.controller lacks %s: %v", field, info.Status.Controller)
+				}
 			}
 			break
 		}
@@ -312,8 +320,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(metrics), fmt.Sprintf("autopiped_job_iterations_total{job=%q} 10", created.ID)) {
-		t.Fatalf("metrics missing job sample:\n%s", metrics)
+	if !strings.Contains(string(metrics), `autopiped_jobs{state="done"} 1`) || strings.Contains(string(metrics), "job=") {
+		t.Fatalf("metrics want one done job and no per-job samples:\n%s", metrics)
 	}
 	if !strings.Contains(string(metrics), "autopiped_journal_appends_total") {
 		t.Fatal("metrics missing journal telemetry")

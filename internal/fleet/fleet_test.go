@@ -341,7 +341,11 @@ func TestFleetMetricsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != server.MetricsContentType {
+		t.Errorf("Content-Type = %q", ct)
+	}
 	text := string(body)
+	checkExposition(t, text)
 	for _, want := range []string{
 		"autopiped_jobs", // registry families still present
 		"autopiped_fleet_peers_alive 2",
@@ -357,5 +361,44 @@ func TestFleetMetricsSurface(t *testing.T) {
 	}
 	for _, tn := range nodes {
 		tn.n.Kill()
+	}
+}
+
+// checkExposition applies the daemon's exposition contract to a fleet
+// node's scrape, which joins the registry and fleet families: every
+// sample follows its family's HELP and TYPE lines, no family is
+// declared twice across the two parts, every name is in the autopiped_
+// namespace, and no sample carries a per-job label.
+func checkExposition(t *testing.T, out string) {
+	t.Helper()
+	declared := map[string]int{}
+	current := ""
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if strings.HasPrefix(line, "# HELP ") {
+			current = strings.Fields(line)[2]
+			if declared[current]++; declared[current] > 1 {
+				t.Errorf("family %s declared twice", current)
+			}
+			continue
+		}
+		if strings.HasPrefix(line, "# TYPE ") {
+			if name := strings.Fields(line)[2]; name != current {
+				t.Errorf("TYPE line for %s follows HELP for %s", name, current)
+			}
+			continue
+		}
+		name := line
+		if i := strings.IndexAny(line, "{ "); i >= 0 {
+			name = line[:i]
+		}
+		if name != current {
+			t.Errorf("sample %q is not under its own HELP/TYPE declaration", line)
+		}
+		if !strings.HasPrefix(name, "autopiped_") {
+			t.Errorf("metric %q outside the autopiped_ namespace", name)
+		}
+		if strings.Contains(line, "job=") {
+			t.Errorf("sample %q carries a per-job label", line)
+		}
 	}
 }

@@ -73,3 +73,48 @@ func TestForwardedShedKeepsRetryAfter(t *testing.T) {
 		t.Fatal("no submission was ever forwarded to the peer owner")
 	}
 }
+
+// TestForwardToUnreachableOwnerSheds503: when the ring owner cannot be
+// reached but is not yet suspected, a forwarded submission is shed with
+// 503 and the gateway's derived Retry-After, never an unexplained 5xx.
+func TestForwardToUnreachableOwnerSheds503(t *testing.T) {
+	hb := time.Minute // slow enough that n2 is never suspected here
+	n1 := startNode(t, "n1", nil, hb, server.Options{PoolSize: 1})
+	n2 := startNode(t, "n2", []string{n1.n.cfg.Advertise}, hb, server.Options{PoolSize: 1})
+	waitFor(t, "membership convergence", func() bool {
+		return n1.n.ring.Len() == 2 && n2.n.ring.Len() == 2
+	})
+	t.Cleanup(func() {
+		n1.n.Kill()
+		n2.n.Kill()
+	})
+	n2.srv.Close()
+
+	spec, err := json.Marshal(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		before := n1.n.forwarded.Load()
+		resp, err := http.Post(n1.srv.URL+"/v1/jobs", "application/json", bytes.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if n1.n.forwarded.Load() == before {
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("locally owned submission = %d, want 201", resp.StatusCode)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("forward to an unreachable owner = %d, want 503", resp.StatusCode)
+		}
+		ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil || ra < 1 || ra > 30 {
+			t.Fatalf("503 Retry-After = %q, want integer in [1,30]", resp.Header.Get("Retry-After"))
+		}
+		return
+	}
+	t.Fatal("no submission was ever forwarded to the peer owner")
+}

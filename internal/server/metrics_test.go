@@ -23,38 +23,86 @@ func TestMetricsFormat(t *testing.T) {
 	var b strings.Builder
 	WriteMetrics(&b, r)
 	out := b.String()
+	checkExposition(t, out)
+	for _, want := range []string{
+		"autopiped_worker_pool_size 3",
+		`autopiped_jobs{state="done"} 1`,
+		`autopiped_jobs{state="running"} 0`,
+		"autopiped_registry_depth 0",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("metrics missing %q:\n%s", want, out)
+		}
+	}
+}
 
-	// Every sample line's family must be declared with HELP and TYPE
-	// before use — the exposition-format contract scrapers rely on.
-	declared := map[string]bool{}
+// checkExposition applies the exposition-format contract scrapers rely
+// on: every sample follows its family's HELP and TYPE lines, no family
+// is declared twice, every name is in the autopiped_ namespace, and no
+// sample carries a per-job label.
+func checkExposition(t *testing.T, out string) {
+	t.Helper()
+	declared := map[string]int{}
+	current := ""
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
-			declared[strings.Fields(line)[2]] = true
+		if strings.HasPrefix(line, "# HELP ") {
+			current = strings.Fields(line)[2]
+			if declared[current]++; declared[current] > 1 {
+				t.Errorf("family %s declared twice", current)
+			}
+			continue
+		}
+		if strings.HasPrefix(line, "# TYPE ") {
+			if name := strings.Fields(line)[2]; name != current {
+				t.Errorf("TYPE line for %s follows HELP for %s", name, current)
+			}
 			continue
 		}
 		name := line
 		if i := strings.IndexAny(line, "{ "); i >= 0 {
 			name = line[:i]
 		}
-		if !declared[name] {
-			t.Errorf("sample %q precedes its HELP/TYPE declaration", line)
+		if name != current {
+			t.Errorf("sample %q is not under its own HELP/TYPE declaration", line)
 		}
 		if !strings.HasPrefix(name, "autopiped_") {
 			t.Errorf("metric %q outside the autopiped_ namespace", name)
 		}
-	}
-	for _, want := range []string{
-		"autopiped_worker_pool_size 3",
-		`autopiped_jobs{state="done"} 1`,
-		`autopiped_jobs{state="running"} 0`,
-		"autopiped_job_evictions_total{",
-		"autopiped_job_switches_aborted_total{",
-		"autopiped_job_migration_retries_total{",
-		"autopiped_job_evictions_queued_total{",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
+		if strings.Contains(line, "job=") {
+			t.Errorf("sample %q carries a per-job label", line)
 		}
+	}
+}
+
+// TestMetricsSizeIndependentOfJobs: a scrape holds node-level families
+// only, so its size does not grow with the jobs the registry has hosted.
+func TestMetricsSizeIndependentOfJobs(t *testing.T) {
+	r := NewRegistry(3)
+	defer r.Shutdown(context.Background())
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			info, err := r.Submit(smallSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, r, info.ID, autopipe.JobDone)
+		}
+	}
+	scrape := func() string {
+		var b strings.Builder
+		WriteMetrics(&b, r)
+		checkExposition(t, b.String())
+		return b.String()
+	}
+	submit(1)
+	one := scrape()
+	submit(99)
+	hundred := scrape()
+	if !strings.Contains(hundred, `autopiped_jobs{state="done"} 100`) {
+		t.Fatalf("scrape after 100 jobs:\n%s", hundred)
+	}
+	if d := len(hundred) - len(one); d > 1024 || d < -1024 {
+		t.Fatalf("scrape grew from %d to %d bytes between 1 and 100 completed jobs", len(one), len(hundred))
 	}
 }
 

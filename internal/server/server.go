@@ -41,65 +41,44 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Handler returns the root http.Handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// maxSpecBytes bounds a submitted spec; well-formed specs are tiny.
-const maxSpecBytes = 1 << 20
-
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
 	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+	if err := DecodeJSON(w, req, &spec); err != nil {
+		WriteRefusal(w, s.reg, err)
 		return
 	}
 	info, err := s.reg.Submit(spec)
-	switch {
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrMinority):
-		// Minority partition: this node cannot safely accept work until
-		// it rejoins the majority. The Retry-After hint reuses the
-		// queue-drain derivation — clients back off the same way they do
-		// for overload.
-		w.Header().Set("Retry-After", strconv.Itoa(s.reg.RetryAfterSeconds()))
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrQueueFull):
-		// Load shedding: tell well-behaved clients when to come back,
-		// derived from how deep the queue is and how fast it has been
-		// draining rather than a fixed guess.
-		w.Header().Set("Retry-After", strconv.Itoa(s.reg.RetryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, err)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusCreated, info)
+	if err != nil {
+		WriteRefusal(w, s.reg, err)
+		return
 	}
+	WriteJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.reg.List()})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.reg.List()})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, req *http.Request) {
 	info, err := s.reg.Get(req.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
 	info, err := s.reg.Cancel(req.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", MetricsContentType)
 	WriteMetrics(w, s.reg)
 }
 
@@ -121,10 +100,58 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 			"errors":   c.JournalErrors,
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// The helpers below are the whole HTTP response surface, shared by the
+// single-node server and the fleet gateway so both answer alike.
+
+// MetricsContentType is the Prometheus text exposition format (0.0.4).
+const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// maxBodyBytes bounds a submitted body; well-formed specs are tiny.
+const maxBodyBytes = 1 << 20
+
+// ErrUnavailable refuses a request this node cannot serve right now,
+// such as a forward to a peer it cannot reach. It is answered like a
+// minority shed: 503 with Retry-After, never an unexplained 5xx.
+var ErrUnavailable = errors.New("server: service temporarily unavailable")
+
+// DecodeJSON reads a size-bounded JSON body into v, rejecting unknown
+// fields so operators find typos immediately.
+func DecodeJSON(w http.ResponseWriter, req *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad job spec: %w", err)
+	}
+	return nil
+}
+
+// WriteRefusal answers a refused submission with the status that tells
+// the client what to do next. Overload (429) and minority or
+// unreachable-owner unavailability (503) carry reg's Retry-After,
+// derived from how deep the queue is and how fast it has been draining
+// rather than a fixed guess; a shutting-down node answers a bare 503.
+func WriteRefusal(w http.ResponseWriter, reg *Registry, err error) {
+	code := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrClosed):
+		code = http.StatusServiceUnavailable
+	case errors.Is(err, ErrMinority), errors.Is(err, ErrUnavailable):
+		w.Header().Set("Retry-After", strconv.Itoa(reg.RetryAfterSeconds()))
+		code = http.StatusServiceUnavailable
+	case errors.Is(err, ErrQueueFull):
+		w.Header().Set("Retry-After", strconv.Itoa(reg.RetryAfterSeconds()))
+		code = http.StatusTooManyRequests
+	case errors.Is(err, ErrDuplicateID):
+		code = http.StatusConflict
+	}
+	WriteError(w, code, err)
+}
+
+// WriteJSON answers with v as indented JSON.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -132,6 +159,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) // nothing useful to do with a failed write
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// WriteError answers with {"error": err}.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -63,7 +62,7 @@ func doJSON(t *testing.T, method, url string, body any, out any) (int, []byte) {
 // job, poll it to completion, and check metrics and health along the
 // way.
 func TestEndToEnd(t *testing.T) {
-	ts, _ := newTestServer(t, 2)
+	ts, reg := newTestServer(t, 2)
 
 	var created JobInfo
 	code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallSpec(), &created)
@@ -95,6 +94,13 @@ func TestEndToEnd(t *testing.T) {
 	if len(info.Status.Plan.Stages) == 0 {
 		t.Fatalf("no plan in status: %+v", info.Status)
 	}
+	// Per-job detail is served by the job's own resource, not /metrics.
+	_, raw := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+created.ID, nil, nil)
+	local, err := reg.Get(created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkJobDetail(t, raw, local)
 
 	var listing struct {
 		Jobs []JobInfo `json:"jobs"`
@@ -104,18 +110,14 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("GET /v1/jobs = %d with %d jobs", code, len(listing.Jobs))
 	}
 
-	code, raw := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, nil)
+	code, raw = doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, nil)
 	if code != http.StatusOK || len(raw) == 0 {
 		t.Fatalf("GET /metrics = %d, %d bytes", code, len(raw))
 	}
 	for _, want := range []string{
 		"autopiped_registry_depth 0",
-		fmt.Sprintf("autopiped_job_iterations_total{job=%q} 10", created.ID),
 		`autopiped_jobs{state="done"} 1`,
 		"autopiped_worker_pool_size 2",
-		"autopiped_job_throughput_samples_per_sec",
-		"autopiped_job_switch_cost_predicted_seconds_total",
-		"autopiped_job_switch_cost_realized_seconds_total",
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("metrics missing %q:\n%s", want, raw)
@@ -126,6 +128,40 @@ func TestEndToEnd(t *testing.T) {
 	code, _ = doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, &health)
 	if code != http.StatusOK || health["status"] != "ok" {
 		t.Fatalf("healthz = %d %v", code, health)
+	}
+}
+
+// checkJobDetail asserts that a GET /v1/jobs/{id} body carries the
+// job's completed iterations and the controller values an operator
+// reads there — switch cost predicted vs realised and the failure
+// counters — equal to the registry's own view of the job.
+func checkJobDetail(t *testing.T, raw []byte, want JobInfo) {
+	t.Helper()
+	var doc struct {
+		Status struct {
+			Iteration  int                `json:"iteration"`
+			Controller map[string]float64 `json:"controller"`
+		} `json:"status"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("job body: %v\n%s", err, raw)
+	}
+	if doc.Status.Iteration != 10 || want.Status.Iteration != 10 {
+		t.Errorf("status.iteration = %d (registry %d), want 10", doc.Status.Iteration, want.Status.Iteration)
+	}
+	c := want.Status.Controller
+	for field, v := range map[string]float64{
+		"switch_seconds_predicted": c.SwitchSecondsPredicted,
+		"switch_seconds_realized":  c.SwitchSecondsRealized,
+		"evictions":                float64(c.Evictions),
+		"aborted_switches":         float64(c.AbortedSwitches),
+		"migration_retries":        float64(c.MigrationRetries),
+		"queued_evictions":         float64(c.QueuedEvictions),
+	} {
+		got, ok := doc.Status.Controller[field]
+		if !ok || got != v {
+			t.Errorf("status.controller.%s = %v (present %v), want %v", field, got, ok, v)
+		}
 	}
 }
 

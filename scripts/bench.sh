@@ -106,8 +106,8 @@ echo "wrote BENCH_daemon.json"
 # node), result.jobs_fenced_out_total / result.fence_rejections_total
 # (stale-owner state discarded or refused at heal), and
 # result.shed_503 (minority-gateway sheds, each carrying a derived
-# Retry-After). Residual errors are the brief forwarding window before
-# the survivors declare the isolated owner dead.
+# Retry-After). A forward to the isolated owner before the survivors
+# declare it dead is shed the same way, 503 with Retry-After.
 # Env: FLEET_DURATION (default 25s), PARTITION_AT (5s), PARTITION_FOR (10s).
 "$bindir/autopipe-load" -spawn 3 -autopiped "$bindir/autopiped" \
   -mode open -rate 150 -concurrency 64 -duration "${FLEET_DURATION:-25s}" \
