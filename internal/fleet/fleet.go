@@ -32,6 +32,12 @@ const (
 	// replica resyncs (repairing records dropped by backpressure and
 	// re-homing replicas after membership changes).
 	resyncTicks = 3
+	// resyncBatchJobs caps the jobs one resync request carries. A full
+	// replace only touches the jobs named in its batch, so splitting a
+	// resync changes nothing on the receiver, while the sender's encoded
+	// body and the receiver's decoded copy stay bounded however many
+	// finished jobs the node hosts.
+	resyncBatchJobs = 64
 	// forwardedHeader marks proxied requests so they are answered
 	// locally — a placement disagreement must degrade to 404, never to
 	// a forwarding loop.
@@ -958,7 +964,11 @@ func (n *Node) resyncAll() {
 		}
 	}
 	for dest, ids := range byDest {
-		n.sendReplicate(dest, true, n.reg.ExportRecords(ids...))
+		for len(ids) > 0 {
+			batch := ids[:min(len(ids), resyncBatchJobs)]
+			ids = ids[len(batch):]
+			n.sendReplicate(dest, true, n.reg.ExportRecords(batch...))
+		}
 	}
 }
 

@@ -242,6 +242,48 @@ func TestFleetForwardingAndAggregation(t *testing.T) {
 	}
 }
 
+// TestResyncCoversJobsBeyondOneBatch: a full resync is sent in batches
+// of resyncBatchJobs jobs, and together the batches re-replicate every
+// job the node hosts, completed record included.
+func TestResyncCoversJobsBeyondOneBatch(t *testing.T) {
+	nodes := startTrio(t, 20*time.Millisecond, poolOpts(4))
+	src := nodes[0].n
+	const jobs = 2*resyncBatchJobs + 5
+	spec := server.JobSpec{Model: "uniform", Uniform: &server.UniformSpec{Layers: 4}, Batches: 2}
+	for i := 0; i < jobs; i++ {
+		if _, err := src.reg.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	completedReplicas := func() int {
+		n := 0
+		for _, tn := range nodes[1:] {
+			st := tn.n.store
+			st.mu.Lock()
+			for _, jr := range st.byNode[src.cfg.ID] {
+				if jr.completed != nil {
+					n++
+				}
+			}
+			st.mu.Unlock()
+		}
+		return n
+	}
+	// Every completion has been replicated incrementally before the
+	// replicas are dropped, so only the resync can restore them.
+	waitFor(t, "every completion replicated", func() bool { return completedReplicas() == jobs })
+	for _, tn := range nodes[1:] {
+		tn.n.store.take(src.cfg.ID)
+	}
+	src.resyncAll()
+	if got := completedReplicas(); got != jobs {
+		t.Fatalf("after a resync the successors hold %d completed replicas of %d jobs", got, jobs)
+	}
+	for _, tn := range nodes {
+		tn.n.Kill()
+	}
+}
+
 // TestFleetGracefulDrainHandoff: a draining node hands its queued jobs
 // to the new ring owner instead of refusing them, and its completed
 // results stay queryable cluster-wide after it leaves.

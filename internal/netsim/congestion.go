@@ -76,7 +76,7 @@ func (n *Network) record(f *Flow) FlowRecord {
 		Bits:       f.origBits,
 		Start:      f.requested,
 		End:        n.eng.Now(),
-		Hops:       len(f.links),
+		Hops:       int(f.route.n),
 		Background: f.background,
 	}
 }
@@ -127,8 +127,9 @@ type queueModel struct {
 	cfg QueueConfig
 	// load is the last fair-share epoch's per-link (utilization, flow
 	// count); delay the accumulated standing-queue delay in seconds.
-	load  map[linkID]queueLoad
-	delay map[linkID]float64
+	// Both are indexed by dense link index.
+	load  []queueLoad
+	delay []float64
 }
 
 type queueLoad struct {
@@ -145,8 +146,8 @@ func (n *Network) EnableQueueing(cfg QueueConfig) {
 	cfg.defaults()
 	n.queue = &queueModel{
 		cfg:   cfg,
-		load:  make(map[linkID]queueLoad),
-		delay: make(map[linkID]float64),
+		load:  make([]queueLoad, len(n.links)),
+		delay: make([]float64, len(n.links)),
 	}
 }
 
@@ -156,51 +157,44 @@ func (n *Network) QueueDelaySec(src, dst int) float64 {
 	if n.queue == nil {
 		return 0
 	}
-	return n.routeQueueDelay(src, dst)
+	r := n.route(src, dst)
+	return n.queue.routeDelay(&r)
 }
 
-func (n *Network) routeQueueDelay(src, dst int) float64 {
+// routeDelay sums the standing-queue delay along a route.
+func (q *queueModel) routeDelay(r *route) float64 {
 	total := 0.0
-	for _, l := range n.route(src, dst) {
-		total += n.queue.delay[l]
+	for _, l := range r.slice() {
+		total += q.delay[l]
 	}
 	return total
 }
 
-// beginEpoch resets the load map ahead of a fair-share recompute; links
-// with no active flows simply stay absent and drain.
-func (q *queueModel) beginEpoch() {
-	for l := range q.load {
-		delete(q.load, l)
-	}
-}
+// beginEpoch resets the per-link load ahead of a fair-share recompute;
+// links with no active flows simply stay idle and drain.
+func (q *queueModel) beginEpoch() { clear(q.load) }
 
 // observeLoad records one link's post-allocation state for the epoch.
-func (q *queueModel) observeLoad(l linkID, util float64, count int) {
+func (q *queueModel) observeLoad(l int32, util float64, count int) {
 	q.load[l] = queueLoad{util: util, count: count}
 }
 
-// advance evolves every link's queue by dt seconds of the current epoch.
+// advance evolves every link's queue by dt seconds of the current
+// epoch: saturated links with contenders build delay up to the buffer
+// bound, all others drain toward zero.
 func (q *queueModel) advance(dt float64) {
-	for l, d := range q.delay {
-		ld := q.load[l]
-		if ld.util >= q.cfg.SaturationUtil && ld.count >= 2 {
-			continue // handled below; avoid double visiting
-		}
-		d -= q.cfg.DrainPerSec * dt
-		if d <= 0 {
-			delete(q.delay, l)
-			continue
-		}
-		q.delay[l] = d
-	}
 	for l, ld := range q.load {
-		if ld.util < q.cfg.SaturationUtil || ld.count < 2 {
-			continue
-		}
-		d := q.delay[l] + q.cfg.BuildPerContenderSec*float64(ld.count-1)*dt
-		if d > q.cfg.MaxDelaySec {
-			d = q.cfg.MaxDelaySec
+		d := q.delay[l]
+		if ld.util >= q.cfg.SaturationUtil && ld.count >= 2 {
+			d += q.cfg.BuildPerContenderSec * float64(ld.count-1) * dt
+			if d > q.cfg.MaxDelaySec {
+				d = q.cfg.MaxDelaySec
+			}
+		} else if d != 0 {
+			d -= q.cfg.DrainPerSec * dt
+			if d < 0 {
+				d = 0
+			}
 		}
 		q.delay[l] = d
 	}

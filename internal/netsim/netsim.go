@@ -12,7 +12,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -35,7 +34,7 @@ type Flow struct {
 	remaining float64
 	origBits  float64
 	rate      float64 // bits/sec, assigned by the fair-share computation
-	links     []linkID
+	route     route
 	done      func()
 	started   sim.Time
 	// requested is when the caller asked for the transfer — before any
@@ -48,6 +47,8 @@ type Flow struct {
 	// stalled flows hold their state but receive no bandwidth and never
 	// finish (fault injection); CancelFlow removes them like any other.
 	stalled bool
+	// active is true while the flow is registered with the network.
+	active bool
 }
 
 // Stalled reports whether the flow has been fault-stalled.
@@ -59,6 +60,14 @@ func (f *Flow) Remaining() float64 { return f.remaining }
 // Rate returns the flow's current bits/sec share.
 func (f *Flow) Rate() float64 { return f.rate }
 
+// Links are addressed by a dense index computed from the topology:
+// server s owns its uplink 3s, downlink 3s+1 and intra-server path
+// 3s+2; after all servers, rack r owns its core uplink 3S+2r and core
+// downlink 3S+2r+1. A cluster of S servers and R racks has 3S+2R links.
+const linksPerServer = 3
+
+// linkKind names a link's role. The three per-server kinds double as
+// the offsets within a server's block of the dense index.
 type linkKind uint8
 
 const (
@@ -69,36 +78,38 @@ const (
 	linkRackDown
 )
 
-type linkID struct {
-	kind linkKind
-	// server for NIC/intra links, rack for rack-uplink links.
-	server int
+// route is a flow's path as dense link indices: one intra-server link,
+// or uplink + downlink plus, across racks, the two core links.
+type route struct {
+	links [4]int32
+	n     uint8
 }
 
-func (l linkID) String() string {
-	switch l.kind {
-	case linkUp:
-		return fmt.Sprintf("up:%d", l.server)
-	case linkDown:
-		return fmt.Sprintf("down:%d", l.server)
-	case linkRackUp:
-		return fmt.Sprintf("rackup:%d", l.server)
-	case linkRackDown:
-		return fmt.Sprintf("rackdown:%d", l.server)
-	default:
-		return fmt.Sprintf("intra:%d", l.server)
-	}
-}
+func (r *route) slice() []int32 { return r.links[:r.n] }
 
 // Network simulates all flows of the measured job over the cluster.
 type Network struct {
 	eng *sim.Engine
 	cl  *cluster.Cluster
 
-	flows      map[uint64]*Flow
+	// flows holds the in-flight flows in ascending ID order. IDs only
+	// grow, so injection appends and removal compacts; every walk —
+	// and with it the progressive-filling freeze order and the
+	// completion-callback order — is deterministic.
+	flows      []*Flow
 	nextID     uint64
 	lastUpdate sim.Time
 	completion *sim.Event
+	// onCompletion is the completion-event callback, bound once.
+	onCompletion func()
+
+	// Solver scratch, reused across recomputes so a steady state
+	// allocates nothing: per-link state by dense index, the links the
+	// last recompute touched, the unfrozen flows, the finished flows.
+	links    []linkState
+	touched  []int32
+	unfrozen []*Flow
+	finished []*Flow
 
 	// TotalBitsDelivered accumulates finished-flow volume (telemetry).
 	TotalBitsDelivered float64
@@ -122,6 +133,14 @@ type Network struct {
 	// observers receive a FlowRecord for every completed transfer (see
 	// AddFlowObserver in congestion.go).
 	observers []func(FlowRecord)
+}
+
+// linkState is one link's progressive-filling state.
+type linkState struct {
+	cap      float64
+	frozen   float64 // load of frozen flows
+	unfrozen float64 // total weight of unfrozen flows
+	count    int     // active flows traversing the link; 0 = untouched
 }
 
 // FlowFault is a fault injector's verdict on a starting flow.
@@ -176,7 +195,8 @@ func (n *Network) EstimateSeconds(src, dst int, bytes int64) float64 {
 		return float64(bytes*8) / (n.cl.IntraServerBwBps * 4)
 	}
 	min := math.Inf(1)
-	for _, l := range n.route(src, dst) {
+	r := n.route(src, dst)
+	for _, l := range r.slice() {
 		if c := n.capacity(l); c < min {
 			min = c
 		}
@@ -187,61 +207,75 @@ func (n *Network) EstimateSeconds(src, dst int, bytes int64) float64 {
 	return float64(bytes*8) / min
 }
 
-// New creates a network bound to an engine and a cluster.
+// New creates a network bound to an engine and a cluster. The
+// cluster's server and rack counts fix the link index space.
 func New(eng *sim.Engine, cl *cluster.Cluster) *Network {
-	return &Network{eng: eng, cl: cl, flows: make(map[uint64]*Flow)}
+	n := &Network{eng: eng, cl: cl}
+	n.links = make([]linkState, linksPerServer*len(cl.Servers)+2*cl.Racks)
+	n.onCompletion = func() {
+		n.completion = nil
+		n.advance()
+		n.reschedule()
+	}
+	return n
+}
+
+// link decodes a dense link index into its kind and its server (NIC
+// and intra links) or rack (core links).
+func (n *Network) link(l int32) (linkKind, int) {
+	i := int(l)
+	if srv := linksPerServer * len(n.cl.Servers); i >= srv {
+		return linkRackUp + linkKind((i-srv)%2), (i - srv) / 2
+	}
+	return linkKind(i % linksPerServer), i / linksPerServer
 }
 
 // capacity returns the current capacity of a link in bits/sec.
-func (n *Network) capacity(l linkID) float64 {
-	switch l.kind {
+func (n *Network) capacity(l int32) float64 {
+	switch kind, id := n.link(l); kind {
 	case linkIntra:
 		return n.cl.IntraServerBwBps
 	case linkRackUp, linkRackDown:
 		return n.cl.RackUplinkBps
 	default:
-		return n.cl.Servers[l.server].AvailBwBps()
+		return n.cl.Servers[id].AvailBwBps()
 	}
 }
 
 // route returns the links a src→dst flow traverses: the intra-server
 // path, or source uplink + destination downlink, plus — in the two-tier
 // topology — the rack core uplinks when the endpoints sit under
-// different leaf switches.
-func (n *Network) route(src, dst int) []linkID {
+// different leaf switches. A same-worker transfer has an empty route.
+func (n *Network) route(src, dst int) route {
+	var r route
 	if src == dst {
-		return nil
+		return r
 	}
 	sa, sb := n.cl.GPUs[src].Server, n.cl.GPUs[dst].Server
 	if sa == sb {
-		return []linkID{{kind: linkIntra, server: sa}}
+		r.links[0], r.n = int32(linksPerServer*sa+int(linkIntra)), 1
+		return r
 	}
-	out := []linkID{{kind: linkUp, server: sa}, {kind: linkDown, server: sb}}
+	r.links[0] = int32(linksPerServer*sa + int(linkUp))
+	r.links[1] = int32(linksPerServer*sb + int(linkDown))
+	r.n = 2
 	if n.cl.Racks > 1 {
 		ra, rb := n.cl.Servers[sa].Rack, n.cl.Servers[sb].Rack
 		if ra != rb {
-			out = append(out,
-				linkID{kind: linkRackUp, server: ra},
-				linkID{kind: linkRackDown, server: rb})
+			racks := linksPerServer * len(n.cl.Servers)
+			r.links[2] = int32(racks + 2*ra)
+			r.links[3] = int32(racks + 2*rb + 1)
+			r.n = 4
 		}
 	}
-	return out
+	return r
 }
 
 // StartFlow begins transferring bytes from src to dst and invokes done
 // (may be nil) when the last bit arrives. Zero-byte and same-worker flows
 // complete after a negligible local-copy delay.
 func (n *Network) StartFlow(src, dst int, bytes int64, name string, done func()) *Flow {
-	if bytes <= 0 || src == dst {
-		latency := sim.Time(float64(bytes*8) / (n.cl.IntraServerBwBps * 4))
-		n.eng.After(latency, name+"/local", func() {
-			if done != nil {
-				done()
-			}
-		})
-		return nil
-	}
-	return n.StartWeightedFlow(src, dst, bytes, 1, name, done)
+	return n.startFlow(src, dst, bytes, 1, name, false, done)
 }
 
 // StartWeightedFlow is StartFlow with an explicit share weight: on a
@@ -269,12 +303,10 @@ func (n *Network) startFlow(src, dst int, bytes int64, weight float64, name stri
 		weight = 1
 	}
 	requested := n.eng.Now()
-	wait := 0.0
-	if hops := len(n.route(src, dst)); hops > 0 {
-		wait = n.PerHopLatencySec * float64(hops)
-	}
+	r := n.route(src, dst)
+	wait := n.PerHopLatencySec * float64(r.n)
 	if n.queue != nil {
-		wait += n.routeQueueDelay(src, dst)
+		wait += n.queue.routeDelay(&r)
 	}
 	if wait > 0 {
 		n.eng.After(sim.Time(wait), name+"/prop", func() {
@@ -303,29 +335,31 @@ func (n *Network) injectFlow(src, dst int, bytes int64, weight float64, name str
 		Weight:     weight,
 		remaining:  float64(bytes * 8),
 		origBits:   float64(bytes * 8),
-		links:      n.route(src, dst),
+		route:      n.route(src, dst),
 		done:       done,
 		started:    n.eng.Now(),
 		requested:  requested,
 		background: background,
 		stalled:    fault == FaultStall,
+		active:     true,
 	}
 	n.nextID++
-	n.flows[f.ID] = f
+	n.flows = append(n.flows, f)
 	n.reschedule()
 	return f
 }
 
 // CancelFlow aborts an in-flight flow without firing its callback.
 func (n *Network) CancelFlow(f *Flow) {
-	if f == nil {
-		return
-	}
-	if _, ok := n.flows[f.ID]; !ok {
+	if f == nil || !f.active {
 		return
 	}
 	n.advance()
-	delete(n.flows, f.ID)
+	i := sort.Search(len(n.flows), func(i int) bool { return n.flows[i].ID >= f.ID })
+	copy(n.flows[i:], n.flows[i+1:])
+	n.flows[len(n.flows)-1] = nil
+	n.flows = n.flows[:len(n.flows)-1]
+	f.active = false
 	n.reschedule()
 }
 
@@ -371,25 +405,30 @@ func (n *Network) reschedule() {
 	// flow's residual would complete within the float64 resolution of
 	// the current clock, advancing time cannot drain it (dt rounds to
 	// zero), so treat it as done to avoid a zero-progress event loop.
+	// Finished flows leave n.flows in ID order, which is also the
+	// callback order.
 	now := float64(n.eng.Now())
-	var finished []*Flow
+	finished := n.finished[:0]
+	kept := n.flows[:0]
 	for _, f := range n.flows {
-		if f.stalled {
-			continue
-		}
 		thresh := 1.0
 		if ulp := f.rate * now * 1e-15; ulp > thresh {
 			thresh = ulp
 		}
-		if f.remaining <= thresh {
+		if !f.stalled && f.remaining <= thresh {
+			f.active = false
 			finished = append(finished, f)
+		} else {
+			kept = append(kept, f)
 		}
 	}
+	clear(n.flows[len(kept):])
+	n.flows = kept
 	if len(finished) > 0 {
-		// Deterministic callback order: by flow ID.
-		sort.Slice(finished, func(i, j int) bool { return finished[i].ID < finished[j].ID })
+		// Callbacks may start flows and so re-enter reschedule: the
+		// nested call must not reuse the slice being walked here.
+		n.finished = nil
 		for _, f := range finished {
-			delete(n.flows, f.ID)
 			n.TotalBitsDelivered += f.origBits
 		}
 		// Observers see every completion before any completion callback
@@ -408,10 +447,13 @@ func (n *Network) reschedule() {
 				f.done()
 			}
 		}
+		clear(finished)
+		n.finished = finished[:0]
 		// Callbacks may have started new flows; recompute afresh.
 		n.reschedule()
 		return
 	}
+	n.finished = finished
 	if len(n.flows) == 0 {
 		return
 	}
@@ -430,50 +472,46 @@ func (n *Network) reschedule() {
 	if math.IsInf(soonest, 1) {
 		return // no capacity anywhere; stalled until OnCapacityChange
 	}
-	n.completion = n.eng.After(sim.Time(soonest), "netsim/completion", func() {
-		n.completion = nil
-		n.advance()
-		n.reschedule()
-	})
+	n.completion = n.eng.After(sim.Time(soonest), "netsim/completion", n.onCompletion)
 }
 
 // computeRates assigns weighted max-min fair rates via progressive
 // filling: each link divides its residual capacity in proportion to the
 // unfrozen flows' weights, and the flow with the smallest achievable
-// per-weight share freezes first.
+// per-weight share freezes first. Flows are visited in ID order, links
+// by dense index; no maps, and no allocation once the scratch slices
+// have grown to the working set.
 func (n *Network) computeRates() {
-	type linkState struct {
-		cap      float64
-		frozen   float64 // load of frozen flows
-		unfrozen float64 // total weight of unfrozen flows
-		count    int     // active flows traversing the link
+	links := n.links
+	for _, l := range n.touched {
+		links[l] = linkState{}
 	}
-	links := make(map[linkID]*linkState)
+	touched := n.touched[:0]
+	all := n.unfrozen[:0]
 	for _, f := range n.flows {
 		f.rate = 0
 		if f.stalled {
 			continue
 		}
-		for _, l := range f.links {
-			if _, ok := links[l]; !ok {
-				links[l] = &linkState{cap: n.capacity(l)}
+		for _, l := range f.route.slice() {
+			ls := &links[l]
+			if ls.count == 0 {
+				ls.cap = n.capacity(l)
+				touched = append(touched, l)
 			}
-			links[l].unfrozen += f.Weight
-			links[l].count++
+			ls.unfrozen += f.Weight
+			ls.count++
 		}
+		all = append(all, f)
 	}
-	unfrozen := make(map[uint64]*Flow, len(n.flows))
-	for id, f := range n.flows {
-		if f.stalled {
-			continue
-		}
-		unfrozen[id] = f
-	}
+	n.touched = touched
+	unfrozen := all
 	for len(unfrozen) > 0 {
 		// Bottleneck per-weight share across links carrying unfrozen
 		// flows.
 		min := math.Inf(1)
-		for _, ls := range links {
+		for _, l := range touched {
+			ls := &links[l]
 			if ls.unfrozen <= 0 {
 				continue
 			}
@@ -489,12 +527,12 @@ func (n *Network) computeRates() {
 			min = 0
 		}
 		// Freeze every unfrozen flow traversing a bottleneck link at
-		// weight × per-weight share.
-		progressed := false
-		for id, f := range unfrozen {
+		// weight × per-weight share; the rest stay, compacted in place.
+		kept := unfrozen[:0]
+		for _, f := range unfrozen {
 			onBottleneck := false
-			for _, l := range f.links {
-				ls := links[l]
+			for _, l := range f.route.slice() {
+				ls := &links[l]
 				fair := (ls.cap - ls.frozen) / ls.unfrozen
 				if fair <= min*(1+1e-12) {
 					onBottleneck = true
@@ -502,35 +540,42 @@ func (n *Network) computeRates() {
 				}
 			}
 			if onBottleneck {
-				f.rate = min * f.Weight
-				for _, l := range f.links {
-					links[l].frozen += f.rate
-					links[l].unfrozen -= f.Weight
-				}
-				delete(unfrozen, id)
-				progressed = true
+				n.freeze(f, min)
+			} else {
+				kept = append(kept, f)
 			}
 		}
-		if !progressed {
+		if len(kept) == len(unfrozen) {
 			// Numerical corner: freeze everything at min.
-			for id, f := range unfrozen {
-				f.rate = min * f.Weight
-				for _, l := range f.links {
-					links[l].frozen += f.rate
-					links[l].unfrozen -= f.Weight
-				}
-				delete(unfrozen, id)
+			for _, f := range unfrozen {
+				n.freeze(f, min)
 			}
+			break
 		}
+		unfrozen = kept
 	}
+	clear(all)
+	n.unfrozen = all[:0]
 	if n.queue != nil {
 		n.queue.beginEpoch()
-		for l, ls := range links {
+		for _, l := range touched {
+			ls := &links[l]
 			util := 0.0
 			if ls.cap > 0 {
 				util = ls.frozen / ls.cap
 			}
 			n.queue.observeLoad(l, util, ls.count)
 		}
+	}
+}
+
+// freeze fixes f's rate at weight × per-weight share and charges it to
+// the links it crosses.
+func (n *Network) freeze(f *Flow, share float64) {
+	f.rate = share * f.Weight
+	for _, l := range f.route.slice() {
+		ls := &n.links[l]
+		ls.frozen += f.rate
+		ls.unfrozen -= f.Weight
 	}
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,23 @@ func TestParseSyncScheme(t *testing.T) {
 	}
 }
 
+// linkLoads sums the assigned rates of in-flight flows per dense link
+// index.
+func linkLoads(net *Network) []float64 {
+	load := make([]float64, len(net.links))
+	for _, fl := range net.flows {
+		for _, l := range fl.route.slice() {
+			load[l] += fl.rate
+		}
+	}
+	return load
+}
+
+func isIntra(net *Network, l int) bool {
+	kind, _ := net.link(int32(l))
+	return kind == linkIntra
+}
+
 // Property: max-min rates never oversubscribe a link and the allocation
 // is work-conserving for a single bottleneck.
 func TestQuickFairShareConservation(t *testing.T) {
@@ -208,14 +226,8 @@ func TestQuickFairShareConservation(t *testing.T) {
 			net.StartFlow(src, dst, int64(1e8+r.Int63n(1e9)), "q", nil)
 		}
 		// After scheduling, rates are assigned. Verify no link exceeded.
-		load := map[string]float64{}
-		for _, fl := range net.flows {
-			for _, l := range fl.links {
-				load[l.String()] += fl.rate
-			}
-		}
-		for name, tot := range load {
-			if tot > cluster.Gbps(10)*(1+1e-9) && name[0] != 'i' {
+		for l, tot := range linkLoads(net) {
+			if tot > cluster.Gbps(10)*(1+1e-9) && !isIntra(net, l) {
 				return false
 			}
 			if tot > cl.IntraServerBwBps*(1+1e-9) {
@@ -372,14 +384,8 @@ func TestQuickWeightedConservation(t *testing.T) {
 			dst := (src + 1 + r.Intn(cl.NumGPUs()-1)) % cl.NumGPUs()
 			net.StartWeightedFlow(src, dst, int64(1e8+r.Int63n(1e9)), 0.5+4*r.Float64(), "w", nil)
 		}
-		load := map[string]float64{}
-		for _, fl := range net.flows {
-			for _, l := range fl.links {
-				load[l.String()] += fl.rate
-			}
-		}
-		for name, tot := range load {
-			if name[0] != 'i' && tot > cluster.Gbps(10)*(1+1e-9) {
+		for l, tot := range linkLoads(net) {
+			if !isIntra(net, l) && tot > cluster.Gbps(10)*(1+1e-9) {
 				return false
 			}
 		}
@@ -415,5 +421,205 @@ func TestPerHopLatencyPenalisesChattyRing(t *testing.T) {
 	}
 	if base, latency := run(0), run(0.05); latency <= base {
 		t.Fatal("per-hop latency did not slow the barriered ring")
+	}
+}
+
+// refLink names a link the way the original solver did: by kind and
+// server (NIC and intra links) or rack (core links).
+type refLink struct {
+	kind linkKind
+	id   int
+}
+
+// refRoute is the original allocating route computation.
+func refRoute(cl *cluster.Cluster, src, dst int) []refLink {
+	sa, sb := cl.GPUs[src].Server, cl.GPUs[dst].Server
+	if sa == sb {
+		return []refLink{{linkIntra, sa}}
+	}
+	out := []refLink{{linkUp, sa}, {linkDown, sb}}
+	if cl.Racks > 1 {
+		if ra, rb := cl.Servers[sa].Rack, cl.Servers[sb].Rack; ra != rb {
+			out = append(out, refLink{linkRackUp, ra}, refLink{linkRackDown, rb})
+		}
+	}
+	return out
+}
+
+func refCapacity(cl *cluster.Cluster, l refLink) float64 {
+	switch l.kind {
+	case linkIntra:
+		return cl.IntraServerBwBps
+	case linkRackUp, linkRackDown:
+		return cl.RackUplinkBps
+	default:
+		return cl.Servers[l.id].AvailBwBps()
+	}
+}
+
+// referenceRates is the solver's original map-based weighted max-min
+// progressive filling, kept as an oracle for computeRates. Links are
+// map-keyed by kind and id; the unfrozen set is a map walked in flow-ID
+// order, so the freeze order, and with it every rounding, matches the
+// dense solver's.
+func referenceRates(net *Network) map[uint64]float64 {
+	type linkState struct{ cap, frozen, unfrozen float64 }
+	rates := map[uint64]float64{}
+	routes := map[uint64][]refLink{}
+	links := map[refLink]*linkState{}
+	unfrozen := map[uint64]*Flow{}
+	for _, f := range net.flows {
+		rates[f.ID] = 0
+		if f.stalled {
+			continue
+		}
+		routes[f.ID] = refRoute(net.cl, f.Src, f.Dst)
+		for _, l := range routes[f.ID] {
+			if _, ok := links[l]; !ok {
+				links[l] = &linkState{cap: refCapacity(net.cl, l)}
+			}
+			links[l].unfrozen += f.Weight
+		}
+		unfrozen[f.ID] = f
+	}
+	freeze := func(f *Flow, share float64) {
+		rates[f.ID] = share * f.Weight
+		for _, l := range routes[f.ID] {
+			links[l].frozen += rates[f.ID]
+			links[l].unfrozen -= f.Weight
+		}
+		delete(unfrozen, f.ID)
+	}
+	for len(unfrozen) > 0 {
+		min := math.Inf(1)
+		for _, ls := range links {
+			if ls.unfrozen <= 0 {
+				continue
+			}
+			if fair := (ls.cap - ls.frozen) / ls.unfrozen; fair < min {
+				min = fair
+			}
+		}
+		if math.IsInf(min, 1) {
+			break
+		}
+		if min < 0 {
+			min = 0
+		}
+		ids := make([]uint64, 0, len(unfrozen))
+		for id := range unfrozen {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		progressed := false
+		for _, id := range ids {
+			f := unfrozen[id]
+			for _, l := range routes[id] {
+				ls := links[l]
+				if (ls.cap-ls.frozen)/ls.unfrozen <= min*(1+1e-12) {
+					freeze(f, min)
+					progressed = true
+					break
+				}
+			}
+		}
+		if !progressed {
+			for _, id := range ids {
+				freeze(unfrozen[id], min)
+			}
+		}
+	}
+	return rates
+}
+
+// checkAgainstReference fails unless every in-flight flow's Rate()
+// equals the reference solver's rate exactly.
+func checkAgainstReference(t *testing.T, net *Network, when string) {
+	t.Helper()
+	want := referenceRates(net)
+	for _, f := range net.flows {
+		if got := f.Rate(); got != want[f.ID] {
+			t.Fatalf("%s: flow %d (%d→%d, w=%v, stalled=%v) rate %v, reference %v",
+				when, f.ID, f.Src, f.Dst, f.Weight, f.stalled, got, want[f.ID])
+		}
+	}
+}
+
+// Property: on random two- and three-rack flow sets with weights,
+// stalled flows and capacity changes, the dense solver assigns exactly the reference
+// solver's rates.
+func TestQuickSolverMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		eng := sim.NewEngine()
+		cl := cluster.NewCluster(cluster.Config{
+			Servers: 3 + r.Intn(4), GPUsPerServer: 1 + r.Intn(2), GPUType: cluster.P100,
+			NICBwBps: cluster.Gbps(10), Racks: 2 + r.Intn(2), RackUplinkBps: cluster.Gbps(4 + 16*r.Float64()),
+		})
+		net := New(eng, cl)
+		net.SetFaultInjector(func(src, dst int, name string) FlowFault {
+			if r.Intn(8) == 0 {
+				return FaultStall
+			}
+			return FaultNone
+		})
+		weights := []float64{1, 1, 2, 0.5, 0.3, 3.7}
+		for i, n := 0, 2+r.Intn(14); i < n; i++ {
+			src := r.Intn(cl.NumGPUs())
+			dst := (src + 1 + r.Intn(cl.NumGPUs()-1)) % cl.NumGPUs()
+			net.StartWeightedFlow(src, dst, int64(1e7+r.Int63n(1e9)), weights[r.Intn(len(weights))], "p", nil)
+			checkAgainstReference(t, net, "inject")
+		}
+		for step := 0; step < 4; step++ {
+			switch r.Intn(3) {
+			case 0:
+				cl.SetExtShare(r.Intn(len(cl.Servers)), 0.9*r.Float64())
+			case 1:
+				cl.SetRackUplink(cluster.Gbps(2 + 20*r.Float64()))
+			default:
+				cl.SetNICBandwidth(cluster.Gbps(5 + 40*r.Float64()))
+			}
+			eng.Run(eng.Now() + sim.Time(0.05*r.Float64()))
+			net.OnCapacityChange()
+			checkAgainstReference(t, net, "capacity change")
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSolverZeroAllocs pins the solver's allocation-free contract: on a
+// warmed two-rack network with queueing, where every completion starts
+// the next transfer, advance and computeRates never allocate.
+func TestSolverZeroAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	cl := cluster.NewCluster(cluster.Config{
+		Servers: 6, GPUsPerServer: 2, GPUType: cluster.P100,
+		NICBwBps: cluster.Gbps(10), Racks: 2, RackUplinkBps: cluster.Gbps(15),
+	})
+	net := New(eng, cl)
+	net.EnableQueueing(QueueConfig{})
+	for i := 0; i < 8; i++ {
+		src, dst := i, (i*5+3)%cl.NumGPUs()
+		bytes := int64(1e6 * (1 + i%3))
+		var next func()
+		next = func() { net.StartWeightedFlow(src, dst, bytes, float64(1+i%2), "z", next) }
+		next()
+	}
+	eng.Run(0.05) // warm the scratch slices to the working set
+	for step := 0; step < 100; step++ {
+		if !eng.Step() {
+			t.Fatal("steady cycle ran dry")
+		}
+		allocs := testing.AllocsPerRun(2, func() {
+			net.lastUpdate = eng.Now() - 1e-9
+			net.advance()
+			net.computeRates()
+		})
+		if allocs != 0 {
+			t.Fatalf("step %d: advance+computeRates allocated %.1f times, want 0", step, allocs)
+		}
 	}
 }

@@ -552,6 +552,11 @@ func (j *Job) Run(ctx context.Context) (JobResult, error) {
 		j.status.Error = err.Error()
 	}
 	j.finished, j.result, j.err = true, res, err
+	// The status and result are final: release the simulation (engine,
+	// network, controller, estimators) so a registry holding finished
+	// jobs keeps only what they serve. Only the run goroutine reads
+	// these fields.
+	j.eng, j.ctl = nil, nil
 	j.mu.Unlock()
 	close(j.done)
 	return res, err
